@@ -4,7 +4,7 @@ Each ordered node pair ``(a, b)`` has its own :class:`Link`, mirroring the
 per-interface ``tc`` shaping of the paper's testbed (delay and loss are set
 per container, i.e. per direction).  A link is transport-agnostic: it
 answers "would this packet drop?" and "how long would one transmission
-take?"; :mod:`repro.net.transport` composes those primitives into UDP and
+take?"; the send path (:mod:`repro.net.transport`) composes them into UDP and
 TCP semantics.
 """
 

@@ -16,12 +16,7 @@ from typing import Any, Protocol
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.stats import LinkStats
-from repro.net.transport import (
-    CHANNEL_TCP,
-    CHANNEL_UDP,
-    TcpChannelState,
-    tcp_transmission_plan,
-)
+from repro.net.transport import CHANNEL_TCP, CHANNEL_UDP, TcpChannelState
 from repro.sim.events import PRIORITY_MESSAGE
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
@@ -320,13 +315,12 @@ class Network:
             return
 
         if channel == CHANNEL_UDP:
-            # Inlined udp_transmission_plan: the datagram path is the
-            # heartbeat hot path, and the common deliver-no-duplicate case
-            # needs no TransmissionPlan allocation.  Draw order (drop,
-            # delay, duplicate) must match the transport module exactly —
-            # it defines the per-link RNG stream consumption.  The loss and
-            # delay models are invoked directly (same calls Link.draw_drop
-            # / draw_delay make) to skip one wrapper frame per draw.
+            # Datagram semantics: one shot, may drop, may duplicate, may
+            # reorder.  Draw order (drop, delay, duplicate, duplicate's
+            # delay) defines the per-link RNG stream consumption.  The loss
+            # and delay models are invoked directly (same calls
+            # Link.draw_drop / draw_delay make) to skip one wrapper frame
+            # per draw.
             rng = link.rng
             if link.should_drop(rng):
                 stats.dropped += 1
@@ -343,9 +337,9 @@ class Network:
                         PRIORITY_MESSAGE,
                     )
                 return
-            # Duplicate draw (and its delay draw) must happen before any
-            # scheduling so the RNG stream matches the transport module;
-            # the primary is scheduled first so it keeps the lower seq.
+            # Duplicate draw (and its delay draw) happen before any
+            # scheduling; the primary is scheduled first so it keeps the
+            # lower seq.
             dup_delay = None
             if link.draw_duplicate():
                 dup_delay = link.draw_delay()
@@ -364,36 +358,21 @@ class Network:
                         PRIORITY_MESSAGE,
                     )
             return
-        if channel == CHANNEL_TCP:
-            state = self._tcp_state.get((src, dst))
-            if state is None:
-                state = self._tcp_state[(src, dst)] = TcpChannelState()
-            plan = tcp_transmission_plan(link, state, now)
-        else:
+        if channel != CHANNEL_TCP:
             raise ValueError(f"unknown channel {channel!r}")
-
-        if not plan.deliver:
-            stats.dropped += 1
-            return
-
-        stats.retransmits += plan.retransmits
+        state = self._tcp_state.get((src, dst))
+        if state is None:
+            state = self._tcp_state[(src, dst)] = TcpChannelState()
+        delay_ms = state.send(link, now)
         endpoint = self._endpoints.get(dst)
-        if endpoint is None:
-            # No attached endpoint: delivery would be a no-op, so skip the
-            # event entirely (counters match the delivery-time-lookup path).
-            stats.duplicated += len(plan.duplicates)
-            return
-        self.loop.schedule(
-            plan.delay_ms,
-            _Delivery((endpoint, stats, src, payload)),
-            priority=PRIORITY_MESSAGE,
-        )
-        for extra_delay in plan.duplicates:
-            stats.duplicated += 1
-            self.loop.schedule(
-                extra_delay,
+        # A detached destination gets no event (its delivery would be a
+        # no-op); the delay is >= 0 by construction, so the validation-free
+        # push is safe.
+        if endpoint is not None:
+            self._push_event(
+                now + delay_ms,
                 _Delivery((endpoint, stats, src, payload)),
-                priority=PRIORITY_MESSAGE,
+                PRIORITY_MESSAGE,
             )
 
     def broadcast(

@@ -18,22 +18,18 @@ evaluation:
 The RTO model is deliberately minimal but shaped like the kernel's:
 ``RTO = max(rto_min, 2 × path RTT)`` with exponential backoff per retry and
 Linux's default ``rto_min`` of 200 ms.
+
+Each semantics has exactly one implementation, on the per-message hot
+path: the datagram path lives in :meth:`repro.net.network.Network.transmit`
+and the stream path in :meth:`TcpChannelState.send`, which that method
+calls.  Neither allocates per message.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.net.link import Link
 
-__all__ = [
-    "CHANNEL_UDP",
-    "CHANNEL_TCP",
-    "TcpChannelState",
-    "udp_transmission_plan",
-    "tcp_transmission_plan",
-    "TransmissionPlan",
-]
+__all__ = ["CHANNEL_UDP", "CHANNEL_TCP", "TcpChannelState"]
 
 CHANNEL_UDP = "udp"
 CHANNEL_TCP = "tcp"
@@ -44,35 +40,6 @@ RTO_MIN_MS = 200.0
 #: the loss rates in the paper (<= 50 %); it guards the simulator against a
 #: schedule that sets loss = 1.0 on a TCP link.
 MAX_TCP_ATTEMPTS = 30
-
-
-@dataclasses.dataclass(slots=True)
-class TransmissionPlan:
-    """Outcome of pushing one message through a channel.
-
-    Attributes:
-        deliver: whether the message reaches the destination at all.
-        delay_ms: total latency from send to delivery (ms).
-        duplicates: extra delivery delays (UDP duplication).
-        retransmits: number of TCP retries that were needed.
-    """
-
-    deliver: bool
-    delay_ms: float = 0.0
-    duplicates: tuple[float, ...] = ()
-    retransmits: int = 0
-
-
-def udp_transmission_plan(link: Link) -> TransmissionPlan:
-    """Datagram semantics: one shot, may drop, may duplicate, may reorder."""
-    if link.draw_drop():
-        return TransmissionPlan(deliver=False)
-    delay = link.draw_delay()
-    duplicates: tuple[float, ...] = ()
-    if link.draw_duplicate():
-        # The duplicate takes its own independent path delay.
-        duplicates = (link.draw_delay(),)
-    return TransmissionPlan(deliver=True, delay_ms=delay, duplicates=duplicates)
 
 
 class TcpChannelState:
@@ -91,42 +58,44 @@ class TcpChannelState:
         #: Smoothed RTT estimate; seeded lazily from the link's nominal RTT.
         self.srtt_ms: float | None = None
 
-    def observe_rtt(self, rtt_ms: float) -> None:
-        """EWMA update, alpha = 1/8 as in RFC 6298."""
-        if self.srtt_ms is None:
-            self.srtt_ms = rtt_ms
-        else:
-            self.srtt_ms += (rtt_ms - self.srtt_ms) / 8.0
+    def send(self, link: Link, now_ms: float) -> float:
+        """Push one segment through ``link`` at ``now_ms``; return its delay.
 
-    def rto_ms(self, nominal_rtt_ms: float) -> float:
-        rtt = self.srtt_ms if self.srtt_ms is not None else nominal_rtt_ms
-        return max(RTO_MIN_MS, 2.0 * rtt)
+        Reliable-stream semantics: the segment always arrives, loss becomes
+        delay.  It is (re)transmitted until the loss process lets it
+        through; each failed attempt costs one RTO
+        (``max(RTO_MIN_MS, 2 × RTT)``, RTT the smoothed estimate once there
+        is one, else the link's nominal RTT) with exponential backoff, up
+        to ``MAX_TCP_ATTEMPTS`` retries.  The one-way delay is drawn after
+        the drops.  The RTT estimate then takes one RFC 6298 EWMA step
+        (alpha = 1/8) toward the link's nominal RTT, and the delivery time
+        is clamped to the stream's FIFO horizon (head-of-line blocking).
+        Retries are counted in ``link.stats.retransmits``.
 
+        The draw order (drops, then the delay) fixes the per-link RNG
+        stream consumption, and the caller schedules delivery at
+        ``now_ms + delay``: both are part of seeded reproducibility.
+        """
+        rng = link.rng
+        should_drop = link.should_drop
+        rtt = link.rtt_ms
+        srtt = self.srtt_ms
+        rto = max(RTO_MIN_MS, 2.0 * (srtt if srtt is not None else rtt))
+        waited = 0.0
+        retransmits = 0
+        while should_drop(rng):
+            waited += rto * (2.0**retransmits)
+            retransmits += 1
+            if retransmits >= MAX_TCP_ATTEMPTS:
+                break
+        link.stats.retransmits += retransmits
+        delay = waited + link.sample_delay(rng)
+        self.srtt_ms = rtt if srtt is None else srtt + (rtt - srtt) / 8.0
 
-def tcp_transmission_plan(
-    link: Link, state: TcpChannelState, now_ms: float
-) -> TransmissionPlan:
-    """Reliable-stream semantics: always delivers, loss becomes delay.
-
-    The segment is (re)transmitted until the loss process lets it through;
-    each failed attempt costs one RTO with exponential backoff.  Delivery
-    time is then clamped to the stream's FIFO horizon.
-    """
-    waited = 0.0
-    retransmits = 0
-    rto = state.rto_ms(link.rtt_ms)
-    while link.draw_drop():
-        waited += rto * (2.0**retransmits)
-        retransmits += 1
-        if retransmits >= MAX_TCP_ATTEMPTS:
-            break
-    delay = waited + link.draw_delay()
-    state.observe_rtt(link.rtt_ms)
-
-    # FIFO: cannot overtake the previous segment on this stream.
-    deliver_at = now_ms + delay
-    if deliver_at < state.last_delivery_ms:
-        deliver_at = state.last_delivery_ms
-        delay = deliver_at - now_ms
-    state.last_delivery_ms = deliver_at
-    return TransmissionPlan(deliver=True, delay_ms=delay, retransmits=retransmits)
+        # FIFO: cannot overtake the previous segment on this stream.
+        deliver_at = now_ms + delay
+        if deliver_at < self.last_delivery_ms:
+            deliver_at = self.last_delivery_ms
+            delay = deliver_at - now_ms
+        self.last_delivery_ms = deliver_at
+        return delay

@@ -182,13 +182,7 @@ class RaftClient:
             payload: Any = ClientReadRequest(request_id=req_id, command=command)
         else:
             payload = ClientRequest(request_id=req_id, command=command)
-        self.network.send(
-            self.name,
-            self._contact,
-            payload,
-            channel="tcp",
-            size_bytes=160,
-        )
+        self.network.transmit(self.name, self._contact, payload, "tcp", 160)
         state[4] = self.loop.schedule(
             self.retry_timeout_ms, lambda rid=req_id: self._on_timeout(rid)
         )

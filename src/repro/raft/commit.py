@@ -21,6 +21,16 @@ indices whose counter has reached the threshold.  Every index is counted
 once per follower and crossed by the frontier once, so the cost is O(1)
 amortized per acknowledged entry — independent of cluster size.
 
+Trackers are floored per reign: a new leader (and a mid-reign rebuild
+after a voter change) builds its tracker with ``floor=commit_index``, so
+the reign counts only the uncommitted suffix it inherited, never the
+committed history.  That changes no commit decision.  The count for
+index ``i`` is the number of followers with ``match >= i``, which is
+monotone in ``i``; so a floored frontier that exceeds the floor equals
+the unfloored one, and the node only acts on a frontier above its
+commit index.  A leader change therefore costs the uncommitted suffix,
+not the length of the log.
+
 The term restriction of §5.4.2 (only current-term entries commit by
 counting) stays in the node: the tracker answers "what is the largest
 quorum-replicated index", the node decides whether it may become the
@@ -39,10 +49,12 @@ class CommitTracker:
         acks_needed: follower acknowledgements required for quorum —
             ``quorum - 1`` (the leader itself always holds its own log,
             so it is never counted).
+        floor: indices at or below this are already committed and are
+            never counted; the frontier starts there.
 
     Usage::
 
-        tracker = CommitTracker(quorum - 1)       # on become_leader
+        tracker = CommitTracker(quorum - 1, floor=commit)   # on become_leader
         frontier = tracker.advance(old_match, new_match)
         if frontier > commit and log.term_at(frontier) == current_term:
             commit = frontier
@@ -51,17 +63,19 @@ class CommitTracker:
 
     __slots__ = ("acks_needed", "_acks", "_frontier", "_floor")
 
-    def __init__(self, acks_needed: int) -> None:
+    def __init__(self, acks_needed: int, floor: int = 0) -> None:
         if acks_needed < 0:
             raise ValueError(f"acks_needed must be >= 0, got {acks_needed!r}")
+        if floor < 0:
+            raise ValueError(f"floor must be >= 0, got {floor!r}")
         self.acks_needed = acks_needed
         #: index -> followers that have acknowledged at least this index
         #: (kept only for indices above ``_floor``).
         self._acks: dict[int, int] = {}
         #: Largest index with >= acks_needed acknowledgements (monotone).
-        self._frontier = 0
+        self._frontier = floor
         #: Indices at or below this have been discarded (committed).
-        self._floor = 0
+        self._floor = floor
 
     @property
     def frontier(self) -> int:
@@ -78,7 +92,8 @@ class CommitTracker:
 
         ``old_match`` must be the value this tracker last saw for the
         follower (0 right after election); each follower must be reported
-        with non-decreasing values.  Returns the updated frontier.
+        with non-decreasing values.  Progress at or below the floor is
+        not counted.  Returns the updated frontier.
 
         With ``acks_needed == 0`` (single-voter degenerate case) there is
         no follower evidence to track; callers use the leader's own
@@ -102,12 +117,8 @@ class CommitTracker:
         """Drop counters for indices ``<= index`` (they are committed).
 
         The frontier is raised to ``index`` too: a committed index is by
-        definition quorum-replicated.  On the ordinary commit path this is
-        a no-op (the frontier *produced* the commit), but it makes a fresh
-        tracker rebasable — a leader rebuilding its tracker mid-reign
-        after a configuration change seeds it with
-        ``discard_through(commit_index)`` so the frontier walk resumes
-        from committed state instead of index 0.
+        definition quorum-replicated.  On the ordinary commit path that is
+        a no-op (the frontier *produced* the commit).
         """
         if index <= self._floor:
             return

@@ -726,8 +726,7 @@ class RaftNode(Process):
                 # indices, floored at what is already committed, then
                 # re-check — removing a straggler can make the smaller
                 # quorum instantly satisfied by the acks already in hand.
-                tracker = CommitTracker(self._acks_needed())
-                tracker.discard_through(self.commit_index)
+                tracker = CommitTracker(self._acks_needed(), floor=self.commit_index)
                 for peer in self._voter_peers:
                     tracker.advance(0, self.match_index.get(peer, 0))
                 self._commit = tracker
@@ -1034,7 +1033,9 @@ class RaftNode(Process):
         self._inflight_appends = {p: 0 for p in self.peers}
         self._last_append_response = {p: self._now() for p in self.peers}
         self._snapshot_inflight = {}
-        self._commit = CommitTracker(self._acks_needed())
+        # Floored at the inherited commit index: the reign counts only the
+        # uncommitted suffix, not the whole committed log.
+        self._commit = CommitTracker(self._acks_needed(), floor=self.commit_index)
         self._hb_cache = {}
         # No-op entry: lets this leader commit its predecessors' tail
         # (commit is restricted to current-term entries, §5.4.2).  Reads

@@ -150,55 +150,56 @@ def test_delivery_to_detached_endpoint_is_noop(net):
     loop.run()  # must not raise
 
 
-def test_udp_send_path_matches_transport_reference(net):
-    """Network.send inlines udp_transmission_plan; pin the two together.
+# Values captured while the UDP path was still checked against a separate
+# reference implementation: they fix the per-link draw order (drop, delay,
+# duplicate, duplicate's delay) and the scheduling of duplicates.
+PINNED_UDP_DELIVERIES = [
+    (4.719459302322292, 0),
+    (5.138368120300436, 0),
+    (6.5688644763644, 1),
+    (8.484833128013221, 1),
+    (13.73221798191499, 3),
+    (20.462974126103017, 5),
+    (23.54840990064928, 6),
+    (23.572333319822746, 6),
+    (28.44360495487499, 8),
+    (28.762891212638593, 8),
+    (31.246878508461567, 9),
+    (33.274152551104834, 9),
+    (36.94304005141487, 11),
+    (37.46895405179859, 11),
+    (44.90332385264787, 13),
+    (47.00044353816614, 14),
+    (51.45893178731136, 15),
+    (53.32385747739179, 16),
+    (53.55988804122434, 16),
+    (56.92655140722261, 17),
+    (59.06064904791499, 18),
+]
 
-    The inlined fast path must consume the per-link RNG stream in exactly
-    the reference order (drop, delay, duplicate, duplicate-delay) and
-    produce the same outcomes, or seeded experiments stop being
-    reproducible.  Drive an identically-seeded twin link through
-    udp_transmission_plan and compare deliveries, delays and counters.
-    """
-    from repro.net.loss_models import BernoulliLoss
-    from repro.net.transport import udp_transmission_plan
-    from repro.sim.rng import RngRegistry
 
-    loop, network, a, b, c = net
-    link = network.link("a", "b")
-    link.loss = BernoulliLoss(0.3)
-    link.duplicate_p = 0.4
-    link.rng = RngRegistry(777).stream("pin")
-
-    twin = Link(
-        "a",
-        "b",
-        delay=link.delay,
-        loss=BernoulliLoss(0.3),
-        duplicate_p=0.4,
-        rng=RngRegistry(777).stream("pin"),
+def test_udp_send_path_pinned_on_lossy_link():
+    """Seeded UDP sends with loss, jitter and duplication reproduce the
+    pinned delivery times, counters and RNG stream position exactly."""
+    loop = EventLoop()
+    network = Network(loop, RngRegistry(777))
+    got: list[tuple[float, Any]] = []
+    sink = Sink("b")
+    sink.deliver = lambda sender, payload: got.append((loop.now, payload))  # type: ignore[method-assign]
+    network.attach(Sink("a"))
+    network.attach(sink)
+    uniform_topology(
+        network, ["a", "b"], rtt_ms=10.0, jitter_sigma_ms=1.0, loss=0.3, duplicate_p=0.4
     )
-
-    deliveries: list[float] = []
-    b.deliver = lambda sender, payload: deliveries.append(loop.now)  # type: ignore[method-assign]
-
-    n_msgs = 200
-    expected: list[float] = []
-    for _ in range(n_msgs):
-        t0 = loop.now
-        network.send("a", "b", "x", channel="udp")
-        plan = udp_transmission_plan(twin)
-        if plan.deliver:
-            expected.append(t0 + plan.delay_ms)
-            expected.extend(t0 + d for d in plan.duplicates)
+    for k in range(20):
+        loop.schedule(k * 3.0, lambda k=k: network.transmit("a", "b", k, "udp"))
     loop.run()
 
-    assert sorted(deliveries) == pytest.approx(sorted(expected))
-    # Both streams must have advanced identically: next draw agrees.
-    assert link.rng.random() == twin.rng.random()
+    assert got == PINNED_UDP_DELIVERIES
+    link = network.link("a", "b")
     stats = link.stats
-    assert stats.sent == n_msgs
-    assert stats.delivered == len(expected)
-    assert stats.dropped == n_msgs - (len(expected) - stats.duplicated)
+    assert (stats.sent, stats.delivered, stats.dropped, stats.duplicated) == (20, 21, 6, 7)
+    assert link.rng.random() == 0.6820634594052792
 
 
 def test_tcp_loss_delays_but_delivers(net):

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.raft.node as node_module
+from repro.cluster.faults import pause_for
 from repro.raft.commit import CommitTracker
+from repro.raft.state_machine import kv_put
+from repro.raft.types import Role
+from tests.conftest import make_raft_cluster
 
 
 def oracle_candidate(matches: dict[str, int], last_index: int, quorum: int) -> int:
@@ -139,3 +144,121 @@ def test_bookkeeping_stays_bounded_by_replication_lag(seed):
                     t.discard_through(commit)
     lag = top - commit
     assert t.pending <= max(lag + 1, 1) * 2 + 8
+
+
+# -- floored trackers (one per reign, floored at the inherited commit) ------ #
+
+
+def test_validates_floor():
+    with pytest.raises(ValueError):
+        CommitTracker(2, floor=-1)
+
+
+def test_floor_starts_frontier_and_skips_committed_prefix():
+    t = CommitTracker(2, floor=100)
+    assert t.frontier == 100
+    assert t.advance(0, 100) == 100  # all at or below the floor: nothing counted
+    assert t.pending == 0
+    assert t.advance(0, 103) == 100  # one ack above the floor
+    assert t.pending == 3
+    assert t.advance(100, 102) == 102
+    assert t.pending == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_nodes=st.sampled_from([3, 5, 7, 9]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    floor=st.integers(min_value=0, max_value=60),
+    n_events=st.integers(min_value=1, max_value=150),
+)
+def test_floored_and_unfloored_make_identical_commit_decisions(
+    n_nodes, seed, floor, n_events
+):
+    """One reign that inherits ``commit == floor``: a tracker floored there
+    and a tracker counting from index 1, fed the same monotone match
+    histories, commit the same indices at the same steps."""
+    rng = np.random.default_rng(seed)
+    quorum = n_nodes // 2 + 1
+    followers = [f"f{i}" for i in range(n_nodes - 1)]
+    floored = CommitTracker(quorum - 1, floor=floor)
+    unfloored = CommitTracker(quorum - 1)
+    # A new leader's match table starts at 0; its log already holds the
+    # committed prefix plus some uncommitted suffix.
+    matches = {f: 0 for f in followers}
+    last_index = floor + int(rng.integers(0, 8))
+    commit = floor
+    for _ in range(n_events):
+        if rng.integers(0, 6) == 0:
+            last_index += int(rng.integers(1, 6))  # client appends
+            continue
+        f = followers[int(rng.integers(0, len(followers)))]
+        if matches[f] >= last_index:
+            continue
+        old = matches[f]
+        new = int(rng.integers(old + 1, last_index + 1))
+        matches[f] = new
+        got_floored = floored.advance(old, new)
+        got_unfloored = unfloored.advance(old, new)
+        assert got_floored == max(got_unfloored, floor)
+        assert (got_floored > commit) == (got_unfloored > commit)
+        if got_unfloored > commit:
+            assert got_floored == got_unfloored
+            commit = got_unfloored
+            floored.discard_through(commit)
+            unfloored.discard_through(commit)
+        # The floored tracker never holds a counter at or below the floor.
+        assert floored.pending <= unfloored.pending
+        assert floored.pending <= last_index - floor
+
+
+class CountingTracker(CommitTracker):
+    """Records how many per-index counts a reign makes and its peak
+    bookkeeping size."""
+
+    __slots__ = ("counted", "peak_pending", "initial_floor")
+
+    def __init__(self, acks_needed, floor=0):
+        super().__init__(acks_needed, floor=floor)
+        self.initial_floor = floor
+        self.counted = 0
+        self.peak_pending = 0
+
+    def advance(self, old_match, new_match):
+        if self.acks_needed and new_match > old_match:
+            self.counted += max(0, new_match - max(old_match, self._floor))
+        frontier = super().advance(old_match, new_match)
+        self.peak_pending = max(self.peak_pending, self.pending)
+        return frontier
+
+
+def test_reelection_on_long_log_counts_only_uncommitted_suffix(monkeypatch):
+    """A leader elected over a long committed log must not re-count it:
+    the reign's bookkeeping is bounded by the uncommitted suffix it
+    inherited, not by the log length."""
+    monkeypatch.setattr(node_module, "CommitTracker", CountingTracker)
+    c = make_raft_cluster(5)
+    client = c.add_client("cl")
+    old_leader = c.run_until_leader()
+    for i in range(5000):
+        client.submit(kv_put(f"k{i % 50}", i))
+    c.run_for(5000)
+    assert len(client.completed) == 5000
+    assert c.node(old_leader).commit_index >= 5000
+
+    pause_for(c.loop, c.node(old_leader), 5000.0)
+    c.run_for(3000)
+    leaders = [
+        n for n in c.names if n != old_leader and c.node(n).role is Role.LEADER
+    ]
+    assert len(leaders) == 1
+    node = c.node(leaders[0])
+    tracker = node._commit
+    assert isinstance(tracker, CountingTracker)
+    inherited = tracker.initial_floor
+    assert inherited >= 5000  # the reign started on the long committed log
+    suffix = node.log.last_index - inherited  # the new reign's no-op and tail
+    assert node.commit_index == node.log.last_index
+    assert tracker.peak_pending <= suffix
+    assert tracker.pending <= suffix
+    assert tracker.counted <= (len(c.names) - 1) * suffix

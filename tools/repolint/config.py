@@ -77,6 +77,7 @@ class RepolintConfig:
                 }
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
+            "repro/net/transport.py": frozenset({"TcpChannelState.send"}),
             "repro/dynatune/measurement.py": frozenset(
                 {"PathMeasurement.record_id", "PathMeasurement.record_rtt"}
             ),
