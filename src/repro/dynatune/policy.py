@@ -28,7 +28,6 @@ follower piggybacks back (§III-B step 3).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Protocol
 
 from repro.dynatune.config import DynatuneConfig
@@ -37,6 +36,7 @@ from repro.dynatune.metadata import HeartbeatMeta, HeartbeatResponseMeta
 from repro.dynatune.tuner import (
     HeartbeatTuning,
     required_heartbeats,
+    tune_election_timeout,
     tune_heartbeat,
 )
 
@@ -130,7 +130,8 @@ class StaticPolicy:
     Args:
         election_timeout_ms: ``Et`` (paper default 1000 ms; Raft-Low 100 ms).
         heartbeat_interval_ms: ``h`` (paper default 100 ms; Raft-Low 10 ms).
-        heartbeat_channel: etcd carries heartbeats over TCP.
+        heartbeat_channel: ``"tcp"`` (etcd carries heartbeats over TCP) or
+            ``"udp"``.
     """
 
     def __init__(
@@ -142,6 +143,10 @@ class StaticPolicy:
     ) -> None:
         if election_timeout_ms <= 0.0 or heartbeat_interval_ms <= 0.0:
             raise ValueError("election timeout and heartbeat interval must be > 0")
+        if heartbeat_channel not in ("udp", "tcp"):
+            raise ValueError(
+                f"heartbeat_channel must be 'udp' or 'tcp', got {heartbeat_channel!r}"
+            )
         self._et = float(election_timeout_ms)
         self._h = float(heartbeat_interval_ms)
         self._channel = heartbeat_channel
@@ -262,10 +267,6 @@ class DynatunePolicy:
         self._default_et: float = cfg.default_election_timeout_ms
         self._last_p: float = -1.0
         self._last_k: int = 1
-        # The RTT estimator lives for the policy's lifetime (reset() keeps
-        # the object); retune reads it directly, skipping one wrapper call
-        # per heartbeat.
-        self._est = self._meas._rtts
 
     # -- introspection (used by experiments/tests) ------------------------- #
 
@@ -336,32 +337,11 @@ class DynatunePolicy:
                 self.gap_resets += 1
         self._last_hb_ms = now_ms
         meas = self._meas
-        seq = meta.seq
-        ids = meas._ids
-        if ids and seq > ids[-1]:
-            # Inline of PathMeasurement.record_id's monotone fast path
-            # (keep in sync): in-order arrival is every heartbeat of the
-            # steady state.
-            ids.append(seq)
-            head = meas._head
-            if len(ids) - head > meas.max_list_size:
-                meas._head = head + 1
-                if head + 1 > meas.max_list_size:
-                    del ids[: head + 1]
-                    meas._head = 0
-        else:
-            meas.record_id(seq)
+        meas.record_id(meta.seq)
         rtt = meta.rtt_sample_ms
         if rtt is not None and meta.rtt_sample_seq > self._last_rtt_seq:
             self._last_rtt_seq = meta.rtt_sample_seq
-            # Inline of PathMeasurement.record_rtt (keep in sync): one
-            # sample lands per heartbeat once the leader has RTTs.
-            if rtt < 0.0:
-                raise ValueError(f"RTT cannot be negative, got {rtt!r}")
-            est = self._est
-            est.push(rtt)
-            if not meas.ready and len(est) >= meas.min_list_size:
-                meas.ready = True
+            meas.record_rtt(rtt)
         if meas.ready:
             self._retune()
         return HeartbeatResponseMeta(
@@ -371,51 +351,23 @@ class DynatunePolicy:
     def _retune(self) -> None:
         """Steps 1–2 of §III-B: derive Et from RTT stats, then h from loss.
 
-        This runs once per received heartbeat on every follower, so the
-        tuning formulas are applied inline (identical math and clamps to
-        :func:`tune_election_timeout` / :func:`tune_heartbeat`, which stay
-        the reference implementations) and the pure ``p → K`` mapping is
-        memoized on the last loss rate — in a loss-stable regime the log
-        evaluation happens once, not per beat.
+        This runs once per received heartbeat on every follower.  The pure
+        ``p → K`` mapping is memoized on the last loss rate — in a
+        loss-stable regime the log evaluation happens once, not per beat —
+        and :func:`tune_heartbeat` is called only when the ``h`` floor
+        binds, the rare case that needs its effective-``K`` re-derivation.
         """
         cfg = self.config
-        # Inline of WindowedMeanStd.mean_std (the reference implementation;
-        # keep the two in sync) — this runs per heartbeat and the call +
-        # tuple would be ~15% of the whole retune.
-        est = self._est
-        count = est._count
-        if count == 0:
-            mu = sigma = 0.0
-        else:
-            mean_d = est._sum / count
-            var = est._sumsq / count - mean_d * mean_d
-            mu = est._offset + mean_d
-            sigma = math.sqrt(var) if var > 0.0 else 0.0
-        if mu < 0.0 or sigma < 0.0:
-            raise ValueError(
-                f"mean/std RTT must be >= 0, got mu={mu!r} sigma={sigma!r}"
-            )
-        et = mu + cfg.safety_factor * sigma
-        if et < cfg.et_floor_ms:
-            et = cfg.et_floor_ms
-        ceiling = cfg.et_ceiling_ms
-        if ceiling is not None and et > ceiling:
-            et = ceiling
-        # Inline of PathMeasurement.loss_rate (keep in sync).
         meas = self._meas
-        ids = meas._ids
-        head = meas._head
-        count = len(ids) - head
-        if count < 2:
-            p = 0.0
-        else:
-            expected = ids[-1] - ids[head] + 1
-            if expected <= 0:
-                p = 0.0
-            else:
-                p = 1.0 - count / expected
-                if p < 0.0:
-                    p = 0.0
+        mu, sigma = meas.rtt_mean_std()
+        et = tune_election_timeout(
+            mu,
+            sigma,
+            safety_factor=cfg.safety_factor,
+            floor_ms=cfg.et_floor_ms,
+            ceiling_ms=cfg.et_ceiling_ms,
+        )
+        p = meas.loss_rate()
         k = cfg.fixed_k
         if k is None:
             if p == self._last_p:

@@ -29,7 +29,6 @@ from repro.net.delay_models import (
 )
 from repro.net.link import Link
 from repro.net.loss_models import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.schedule import (
     NetworkSchedule,
@@ -62,7 +61,6 @@ __all__ = [
     "LinkStats",
     "LognormalJitterDelay",
     "LossModel",
-    "Message",
     "Network",
     "NetworkSchedule",
     "NoLoss",

@@ -3,7 +3,7 @@
 One :class:`Network` instance is the cluster's switch + kernel stacks:
 
 * it owns one :class:`~repro.net.link.Link` per ordered node pair;
-* ``send()`` pushes a message through the link's channel semantics
+* ``transmit()`` pushes a payload through the link's channel semantics
   (:mod:`repro.net.transport`) and schedules the delivery event;
 * partitions and per-pair impairment setters expose the same knobs the
   paper drives through ``tc`` and Docker network surgery.
@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Protocol
 
 from repro.net.link import Link
-from repro.net.message import Message
 from repro.net.stats import LinkStats
 from repro.net.transport import CHANNEL_TCP, CHANNEL_UDP, TcpChannelState
 from repro.sim.events import PRIORITY_MESSAGE
@@ -260,26 +259,6 @@ class Network:
     # send path
     # ------------------------------------------------------------------ #
 
-    def send(
-        self,
-        src: str,
-        dst: str,
-        payload: Any,
-        *,
-        channel: str = CHANNEL_TCP,
-        size_bytes: int = 128,
-    ) -> Message:
-        """Transmit ``payload`` from ``src`` to ``dst``.
-
-        Returns the :class:`Message` envelope (mostly for tests); delivery,
-        if any, happens via scheduled loop events.  Protocol hot paths that
-        never look at the envelope use :meth:`transmit` instead, which
-        skips building it.
-        """
-        msg = Message(src, dst, payload, channel, size_bytes, self.loop.now)
-        self.transmit(src, dst, payload, channel, size_bytes)
-        return msg
-
     def transmit(
         self,
         src: str,
@@ -288,13 +267,14 @@ class Network:
         channel: str = CHANNEL_TCP,
         size_bytes: int = 128,
     ) -> None:
-        """Envelope-free :meth:`send`: the per-message hot path.
+        """Send ``payload`` from ``src`` to ``dst`` over ``channel``.
 
-        Link, stats and endpoint are each looked up once, the delivery
-        callback is a slotted :class:`_Delivery` rather than a fresh
-        closure, partition checks short-circuit on the (common)
-        unpartitioned case, and no :class:`Message` object is built —
-        every Raft node send goes through here.
+        Delivery, if any, happens via a scheduled loop event.  This is the
+        per-message hot path — every node and client send goes through
+        here — so link, stats and endpoint are each looked up once, the
+        delivery callback is a slotted :class:`_Delivery` rather than a
+        fresh closure, and partition checks short-circuit on the (common)
+        unpartitioned case.
         """
         now = self.loop.now
         by_dst = self._links_from.get(src)
@@ -374,19 +354,6 @@ class Network:
                 _Delivery((endpoint, stats, src, payload)),
                 PRIORITY_MESSAGE,
             )
-
-    def broadcast(
-        self,
-        src: str,
-        dsts: list[str],
-        payload: Any,
-        *,
-        channel: str = CHANNEL_TCP,
-        size_bytes: int = 128,
-    ) -> None:
-        """Send the same payload to several peers (independent link draws)."""
-        for dst in dsts:
-            self.send(src, dst, payload, channel=channel, size_bytes=size_bytes)
 
     # ------------------------------------------------------------------ #
     # diagnostics

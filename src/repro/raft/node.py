@@ -96,6 +96,19 @@ _RAND_BLOCK = 256
 #: Module-level alias: ``deliver`` checks this once per delivered message.
 _RUNNING = ProcessState.RUNNING
 
+#: Consensus RPCs ride TCP, as in etcd; Dynatune moves only heartbeats to
+#: UDP (the policy's ``heartbeat_channel``).
+_RPC_CHANNEL = "tcp"
+
+#: Uniform extra delay, in ms, added to every heartbeat-timer arm: the OS
+#: scheduling noise under real per-follower timers, so heartbeat phases
+#: drift over time.  With the random phase of each reign's first beat it
+#: breaks a simulator artifact: perfectly aligned timers phase-lock every
+#: follower's heartbeat arrivals, hence their failure-detection instants,
+#: which makes 4-way split votes near-certain.  Real per-follower timers
+#: (Go runtime timers on a busy host) carry independent phases.
+_HB_JITTER_MS = 0.5
+
 
 class _ReadBatch:
     """One ReadIndex round: the reads it covers and its quorum progress.
@@ -125,8 +138,7 @@ class RaftNode(Process):
         loop: shared event loop.
         name: unique node name.
         peers: names of **all** cluster members (including this node).
-        network: fabric used for sends (anything with ``send()``; the fast
-            ``transmit()`` path is used when available).
+        network: fabric used for sends (anything with ``transmit()``).
         config: protocol configuration.
         policy: election-parameter policy (Static / Dynatune / Fix-K).
         state_machine: the replicated application (e.g. ``KVStore``).
@@ -250,16 +262,10 @@ class RaftNode(Process):
         self._started = False
 
         # -- hot-path caches (all derived, none carries protocol state) --- #
-        # Channel names and the network's envelope-free transmit are
-        # constant for the node's lifetime.
-        self._rpc_channel: str = config.rpc_channel
+        # The heartbeat channel and the network's transmit are constant
+        # for the node's lifetime.
         self._hb_channel: str = policy.heartbeat_channel
-        transmit = getattr(network, "transmit", None)
-        if transmit is None and network is not None:
-            transmit = lambda src, dst, payload, channel, size: network.send(  # noqa: E731
-                src, dst, payload, channel=channel, size_bytes=size
-            )
-        self._transmit: Callable[..., Any] = transmit
+        self._transmit: Callable[..., Any] = network.transmit
         # Cached outbound heartbeat per peer and the one cached response,
         # valid while their fields are unchanged and no metadata rides
         # along (messages are immutable by convention, so re-sending the
@@ -272,14 +278,8 @@ class RaftNode(Process):
         # Frozen-config compaction knobs, read after every apply batch.
         self._compaction_threshold: int = config.compaction_threshold
         self._compaction_margin: int = config.compaction_retain_margin
-        # Frozen-config membership knobs.
-        self._auto_promote: bool = config.auto_promote_learners
-        self._learner_margin: int = config.learner_catchup_margin
-        # Frozen-config flags read on every beat.
+        # Frozen-config flag read on every beat.
         self._hb_consolidated: bool = config.consolidated_heartbeat_timer
-        self._hb_stagger: bool = config.heartbeat_phase_stagger
-        self._hb_jitter_ms: float = config.heartbeat_timer_jitter_ms
-        self._hb_catchup: bool = config.heartbeat_response_catchup
         # Per-peer heartbeat Timer objects (mirrors the TimerService entry;
         # cleared on step-down together with the service's).
         self._hb_timers: dict[str, Any] = {}
@@ -790,19 +790,19 @@ class RaftNode(Process):
     def _maybe_promote(self, follower: str) -> None:
         """Auto-promote a caught-up learner to voter (leader side).
 
-        Fires from replication acks: once the learner's match index is
-        within the configured margin of the leader's commit index — i.e.
-        it has been caught up, through the snapshot path if it started
-        behind the leader's first retained entry — the leader proposes the
-        ``promote`` entry, provided no other change is in flight.
+        Fires from replication acks: once the learner's match index has
+        reached the leader's commit index — i.e. it has been caught up,
+        through the snapshot path if it started behind the leader's first
+        retained entry — the leader proposes the ``promote`` entry,
+        provided no other change is in flight.
         """
-        if not self._auto_promote or self.role is not Role.LEADER:
+        if self.role is not Role.LEADER:
             return
         if follower not in self._membership.learners:
             return
         if self.config_change_in_flight():
             return
-        if self.match_index.get(follower, 0) + self._learner_margin < self.commit_index:
+        if self.match_index.get(follower, 0) < self.commit_index:
             return
         if self.propose_config_change("promote", follower):
             self.metrics.learner_promotions += 1
@@ -819,7 +819,7 @@ class RaftNode(Process):
         self._transmit(self.name, dst, payload, channel, size)
 
     def _rpc(self, dst: str, payload: Any, size: int = 96) -> None:
-        self._transmit(self.name, dst, payload, self._rpc_channel, size)
+        self._transmit(self.name, dst, payload, _RPC_CHANNEL, size)
 
     def _rand(self) -> float:
         """One uniform draw from this node's stream, served from a block.
@@ -842,8 +842,8 @@ class RaftNode(Process):
     def _arm_election_timer(self) -> None:
         """(Re-)arm with a fresh randomized draw from ``[Et, 2·Et)``.
 
-        Cold-path arm (start, recovery, role changes, vote grants); the
-        per-heartbeat reset lives inlined in ``_on_heartbeat``.
+        Runs on start, recovery, role changes and vote grants, and on every
+        received heartbeat — the follower's hottest operation.
         """
         base = self.policy.election_timeout_ms(self.leader_id)
         randomized = base * (1.0 + self._rand())
@@ -916,20 +916,18 @@ class RaftNode(Process):
         # change to how the dict is populated.)
         pending, self._pending_client = self._pending_client, {}
         for _idx, (client, req_id) in sorted(pending.items()):
-            self._send(
+            self._rpc(
                 client,
                 ClientResponse(request_id=req_id, ok=False, leader_hint=None),
-                channel=self._rpc_channel,
             )
         # Buffered-but-unappended commands and pending reads fail the same
         # way: the client's retry path re-submits them to the new leader.
         self.timers.drop("batch")
         buffered, self._batch_buf = self._batch_buf, []
         for client, req_id, _command in buffered:
-            self._send(
+            self._rpc(
                 client,
                 ClientResponse(request_id=req_id, ok=False, leader_hint=None),
-                channel=self._rpc_channel,
             )
         round_, self._read_round = self._read_round, None
         reads, self._read_buf = self._read_buf, []
@@ -937,10 +935,9 @@ class RaftNode(Process):
             reads = round_.reads + reads
         for client, req_id, _command in reads:
             self.metrics.reads_failed += 1
-            self._send(
+            self._rpc(
                 client,
                 ClientResponse(request_id=req_id, ok=False, leader_hint=None),
-                channel=self._rpc_channel,
             )
         self._append_probe = set()
         self._term_start_index = 0
@@ -1055,27 +1052,19 @@ class RaftNode(Process):
     # ------------------------------------------------------------------ #
 
     def _schedule_heartbeat(self, peer: str, *, first: bool = False) -> None:
+        """(Re-)arm the heartbeat timer toward ``peer`` at the policy's ``h``.
+
+        The first beat toward a peer (new reign, or a peer added mid-reign)
+        fires at a random phase within one interval, and every arm adds
+        the tick jitter (see ``_HB_JITTER_MS``).
+        """
         if self._hb_consolidated:
-            if not self.peers:
-                return  # every peer removed mid-reign; nothing to beat
-            # §IV-E feature 2: one timer for everyone at the minimum h.
-            interval = min(
-                self.policy.heartbeat_interval_ms(p) for p in self.peers
-            )
-            if first and self._hb_stagger:
-                interval *= self._rand()
-            if self._hb_jitter_ms > 0.0:
-                interval += self._hb_jitter_ms * self._rand()
-            self.timers.timer("hb", self._heartbeat_tick_all).reset(
-                self._clock_scale(interval)
-            )
+            self._schedule_heartbeat_all(first=first)
             return
         interval = self.policy.heartbeat_interval_ms(peer)
-        if first and self._hb_stagger:
-            # Independent initial phase per follower loop (see RaftConfig).
+        if first:
             interval *= self._rand()
-        if self._hb_jitter_ms > 0.0:
-            interval += self._hb_jitter_ms * self._rand()
+        interval += _HB_JITTER_MS * self._rand()
         timer = self._hb_timers.get(peer)
         if timer is None:
             timer = self.timers.timer(
@@ -1083,6 +1072,23 @@ class RaftNode(Process):
             )
             self._hb_timers[peer] = timer
         timer.reset(self._clock_scale(interval))
+
+    def _schedule_heartbeat_all(self, *, first: bool = False) -> None:
+        """§IV-E feature 2: one timer for every follower at the minimum h."""
+        if not self.peers:
+            return  # every peer removed mid-reign; nothing to beat
+        heartbeat_interval_ms = self.policy.heartbeat_interval_ms
+        interval = math.inf
+        for peer in self.peers:
+            h = heartbeat_interval_ms(peer)
+            if h < interval:
+                interval = h
+        if first:
+            interval *= self._rand()
+        interval += _HB_JITTER_MS * self._rand()
+        self.timers.timer("hb", self._heartbeat_tick_all).reset(
+            self._clock_scale(interval)
+        )
 
     def _send_heartbeat_to(self, peer: str) -> None:
         meta = self.policy.heartbeat_meta(peer, self._now())
@@ -1111,55 +1117,15 @@ class RaftNode(Process):
                 cm.charge(self.name, "tuning")
 
     def _heartbeat_tick(self, peer: str) -> None:
-        """Per-follower beat: send + re-arm.
-
-        This fires once per heartbeat per follower — the leader's hottest
-        callback — so the send half (a fused copy of
-        :meth:`_send_heartbeat_to`; keep the two in sync) and the re-arm
-        half share one set of attribute loads.
-        """
+        """Per-follower beat: flush buffered writes, send, re-arm."""
         if self.role is not Role.LEADER:
             return
         if self._batch_buf:
             self._flush_batch()  # beat-bounded latency for buffered writes
             if self._state is not _RUNNING:
                 return  # crashed at the batch's persist point
-        policy = self.policy
-        meta = policy.heartbeat_meta(peer, self._now())
-        term = self.current_term
-        commit = self.commit_index
-        match = self.match_index.get(peer, 0)
-        if match < commit:
-            commit = match
-        if meta is None:
-            req = self._hb_cache.get(peer)
-            if req is None or req.term != term or req.commit != commit:
-                req = HeartbeatRequest(term, self.name, commit)
-                self._hb_cache[peer] = req
-            size = 64
-        else:
-            req = HeartbeatRequest(term, self.name, commit, meta)
-            size = 88
-        self._transmit(self.name, peer, req, self._hb_channel, size)
-        self.metrics.heartbeats_sent += 1
-        cm = self.cost_model
-        if cm is not None:
-            cm.charge(self.name, "heartbeat_send")
-            if meta is not None:
-                cm.charge(self.name, "tuning")
-        if self._hb_consolidated:
-            self._schedule_heartbeat(peer)
-            return
-        interval = policy.heartbeat_interval_ms(peer)
-        if self._hb_jitter_ms > 0.0:
-            interval += self._hb_jitter_ms * self._rand()
-        timer = self._hb_timers.get(peer)
-        if timer is None:
-            timer = self.timers.timer(
-                self._hb_timer_names[peer], self._hb_timer_cbs[peer]
-            )
-            self._hb_timers[peer] = timer
-        timer.reset(self._clock_scale(interval))
+        self._send_heartbeat_to(peer)
+        self._schedule_heartbeat(peer)
 
     def _heartbeat_tick_all(self) -> None:
         """Consolidated-timer beat: heartbeat every follower at once."""
@@ -1171,8 +1137,7 @@ class RaftNode(Process):
                 return  # crashed at the batch's persist point
         for peer in self.peers:
             self._send_heartbeat_to(peer)
-        if self.peers:
-            self._schedule_heartbeat(self.peers[0])
+        self._schedule_heartbeat_all()
 
     def _schedule_quorum_check(self) -> None:
         if not self.config.check_quorum:
@@ -1353,10 +1318,9 @@ class RaftNode(Process):
             pending = self._pending_client.pop(entry.index, None)
             if pending is not None and self.role is Role.LEADER:
                 client, req_id = pending
-                self._send(
+                self._rpc(
                     client,
                     ClientResponse(request_id=req_id, ok=True, result=result),
-                    channel=self._rpc_channel,
                 )
         # A quorum-confirmed ReadIndex round may have been waiting for the
         # commit index to reach its read_index (fresh leaders: the round
@@ -1542,22 +1506,10 @@ class RaftNode(Process):
             self.commit_index = min(m.commit, self.log.last_index)
             self._apply_committed()
         hb_meta = m.meta
-        policy = self.policy
-        meta = policy.on_heartbeat(leader, hb_meta, now)
+        meta = self.policy.on_heartbeat(leader, hb_meta, now)
         if cm is not None and hb_meta is not None:
             cm.charge(self.name, "tuning")
-        # Inline of _arm_election_timer (keep in sync): this reset happens
-        # on every received heartbeat, the follower's hottest operation.
-        base = policy.election_timeout_ms(self.leader_id)
-        pos = self._rand_pos
-        buf = self._rand_buf
-        if buf is None or pos >= _RAND_BLOCK:
-            buf = self._rand_buf = self.rng.random(_RAND_BLOCK).tolist()
-            pos = 0
-        self._rand_pos = pos + 1
-        randomized = base * (1.0 + buf[pos])
-        self.metrics.current_randomized_timeout_ms = randomized
-        self._election_timer.reset(self._clock_scale(randomized))
+        self._arm_election_timer()
         term = self.current_term
         lli = self.log.last_index
         if meta is None:
@@ -1593,10 +1545,9 @@ class RaftNode(Process):
         self.policy.on_heartbeat_response(follower, m.meta, now)
         if cm is not None and m.meta is not None:
             cm.charge(self.name, "tuning")
-        if (
-            self._hb_catchup
-            and self.match_index.get(follower, 0) < self.log.last_index
-        ):
+        if self.match_index.get(follower, 0) < self.log.last_index:
+            # A lagging follower gets entries pushed off its heartbeat
+            # response, as etcd sends MsgApp on MsgHeartbeatResp.
             # Recovery path for a *stalled* pipeline only: either nothing
             # is in flight, or the in-flight messages' acks were lost long
             # ago (e.g. across a follower pause).  A live pipeline keeps
@@ -1883,12 +1834,11 @@ class RaftNode(Process):
         self._charge("client_request")
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
-            self._send(
+            self._rpc(
                 sender,
                 ClientResponse(
                     request_id=m.request_id, ok=False, leader_hint=self.leader_id
                 ),
-                channel=self._rpc_channel,
             )
             return
         if self._batching:
@@ -1950,25 +1900,23 @@ class RaftNode(Process):
         self._charge("client_request")
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
-            self._send(
+            self._rpc(
                 sender,
                 ClientResponse(
                     request_id=m.request_id, ok=False, leader_hint=self.leader_id
                 ),
-                channel=self._rpc_channel,
             )
             return
         if self._lease_reads:
             if self._lease_valid_for_reads():
                 self.metrics.reads_served_lease += 1
-                self._send(
+                self._rpc(
                     sender,
                     ClientResponse(
                         request_id=m.request_id,
                         ok=True,
                         result=self.state_machine.read(m.command),
                     ),
-                    channel=self._rpc_channel,
                 )
                 return
             self.metrics.lease_fallbacks += 1
@@ -1983,14 +1931,13 @@ class RaftNode(Process):
                 self.commit_index = self.log.last_index
                 self._apply_committed()
             self.metrics.reads_served_readindex += 1
-            self._send(
+            self._rpc(
                 sender,
                 ClientResponse(
                     request_id=m.request_id,
                     ok=True,
                     result=self.state_machine.read(m.command),
                 ),
-                channel=self._rpc_channel,
             )
             return
         self._read_buf.append((sender, m.request_id, m.command))
@@ -2099,10 +2046,9 @@ class RaftNode(Process):
         n = 0
         for client, req_id, command in batch.reads:
             n += 1
-            self._send(
+            self._rpc(
                 client,
                 ClientResponse(request_id=req_id, ok=True, result=read(command)),
-                channel=self._rpc_channel,
             )
         self.metrics.reads_served_readindex += n
 

@@ -35,6 +35,9 @@ def test_static_validation():
         StaticPolicy(0.0, 100.0)
     with pytest.raises(ValueError):
         StaticPolicy(100.0, 0.0)
+    with pytest.raises(ValueError, match="heartbeat_channel"):
+        StaticPolicy(heartbeat_channel="quic")
+    assert StaticPolicy(heartbeat_channel="udp").heartbeat_channel == "udp"
 
 
 # -- DynatunePolicy: leader half --------------------------------------------- #

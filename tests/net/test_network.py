@@ -35,17 +35,10 @@ def net():
 
 def test_send_delivers_after_one_way_delay(net):
     loop, network, a, b, c = net
-    network.send("a", "b", "hello", channel="udp")
+    network.transmit("a", "b", "hello", "udp")
     loop.run()
     assert b.got == [("a", "hello")]
     assert loop.now == pytest.approx(5.0, abs=0.5)
-
-
-def test_broadcast_reaches_all(net):
-    loop, network, a, b, c = net
-    network.broadcast("a", ["b", "c"], "x", channel="tcp")
-    loop.run()
-    assert b.got and c.got
 
 
 def test_duplicate_attach_rejected(net):
@@ -63,14 +56,14 @@ def test_missing_link_raises(net):
 def test_unknown_channel_rejected(net):
     loop, network, a, b, c = net
     with pytest.raises(ValueError):
-        network.send("a", "b", "x", channel="quic")
+        network.transmit("a", "b", "x", "quic")
 
 
 def test_partition_blocks_cross_group(net):
     loop, network, a, b, c = net
     network.set_partitions([{"a"}, {"b", "c"}])
-    network.send("a", "b", "x", channel="udp")
-    network.send("b", "c", "y", channel="udp")
+    network.transmit("a", "b", "x", "udp")
+    network.transmit("b", "c", "y", "udp")
     loop.run()
     assert b.got == []
     assert c.got == [("b", "y")]
@@ -88,7 +81,7 @@ def test_partition_clear_restores(net):
     loop, network, a, b, c = net
     network.set_partitions([{"a"}, {"b"}])
     network.clear_partitions()
-    network.send("a", "b", "x", channel="udp")
+    network.transmit("a", "b", "x", "udp")
     loop.run()
     assert b.got == [("a", "x")]
 
@@ -102,11 +95,11 @@ def test_node_in_two_groups_rejected(net):
 def test_link_down_drops(net):
     loop, network, a, b, c = net
     network.link("a", "b").up = False
-    network.send("a", "b", "x", channel="udp")
+    network.transmit("a", "b", "x", "udp")
     loop.run()
     assert b.got == []
     # reverse direction unaffected
-    network.send("b", "a", "y", channel="udp")
+    network.transmit("b", "a", "y", "udp")
     loop.run()
     assert a.got == [("b", "y")]
 
@@ -131,8 +124,8 @@ def test_set_all_rtt_and_loss(net):
 def test_stats_counters(net):
     loop, network, a, b, c = net
     network.set_loss("a", "b", 1.0)
-    network.send("a", "b", "x", channel="udp", size_bytes=100)
-    network.send("a", "c", "y", channel="udp", size_bytes=50)
+    network.transmit("a", "b", "x", "udp", size_bytes=100)
+    network.transmit("a", "c", "y", "udp", size_bytes=50)
     loop.run()
     total = network.total_stats()
     assert total.sent == 2
@@ -146,7 +139,7 @@ def test_delivery_to_detached_endpoint_is_noop(net):
     loop, network, a, b, c = net
     # Install a link to a name that has no endpoint.
     network.add_link(Link("a", "ghost", rng=network.rngs.stream("x")))
-    network.send("a", "ghost", "x", channel="udp")
+    network.transmit("a", "ghost", "x", "udp")
     loop.run()  # must not raise
 
 
@@ -207,7 +200,7 @@ def test_tcp_loss_delays_but_delivers(net):
     network.link("a", "b").loss = BernoulliLoss(0.9)
     network.link("a", "b").rng = network.rngs.stream("lossy")
     for _ in range(20):
-        network.send("a", "b", "x", channel="tcp")
+        network.transmit("a", "b", "x", "tcp")
     loop.run()
     assert len(b.got) == 20  # reliable despite 90% loss
 
@@ -236,8 +229,8 @@ def test_attach_after_partition_delivers_within_rest_group(net):
 
     for src, dst in (("c", "d"), ("d", "c"), ("a", "d"), ("d", "a")):
         network.add_link(Link(src, dst))
-    network.send("c", "d", "hello", channel="udp")
-    network.send("a", "d", "blocked", channel="udp")
+    network.transmit("c", "d", "hello", "udp")
+    network.transmit("a", "d", "blocked", "udp")
     loop.run()
     assert late.got == [("c", "hello")]
     assert network.partition_drops == 1

@@ -74,12 +74,30 @@ class RepolintConfig:
                     "RaftNode._on_heartbeat_response",
                     "RaftNode._send_heartbeat_to",
                     "RaftNode._heartbeat_tick",
+                    "RaftNode._schedule_heartbeat",
+                    "RaftNode._schedule_heartbeat_all",
+                    "RaftNode._arm_election_timer",
+                    "RaftNode._rand",
                 }
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
             "repro/net/transport.py": frozenset({"TcpChannelState.send"}),
+            "repro/dynatune/policy.py": frozenset(
+                {"DynatunePolicy.on_heartbeat", "DynatunePolicy._retune"}
+            ),
             "repro/dynatune/measurement.py": frozenset(
-                {"PathMeasurement.record_id", "PathMeasurement.record_rtt"}
+                {
+                    "PathMeasurement.record_id",
+                    "PathMeasurement.record_rtt",
+                    "PathMeasurement.loss_rate",
+                    "PathMeasurement.rtt_mean_std",
+                }
+            ),
+            "repro/dynatune/estimators.py": frozenset(
+                {"WindowedMeanStd.push", "WindowedMeanStd.mean_std"}
+            ),
+            "repro/dynatune/tuner.py": frozenset(
+                {"tune_election_timeout", "required_heartbeats"}
             ),
             "repro/sim/tracing.py": frozenset(
                 {"TraceLog.record", "TraceLog.wants"}
